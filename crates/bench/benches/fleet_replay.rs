@@ -87,6 +87,8 @@ fn main() {
     );
     record.push(row(&naive));
     record.push(row(&aware));
-    let path = record.write_merged().expect("write BENCH_serve.json");
+    let path = record
+        .write_merged(&ExperimentRecord::default_dir())
+        .expect("write BENCH_serve.json");
     println!("trajectory record: {}", path.display());
 }

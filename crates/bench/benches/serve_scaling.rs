@@ -80,6 +80,8 @@ fn main() {
     }
 
     // Merged write: `fleet_replay` owns the fleet rows of the same file.
-    let path = record.write_merged().expect("write BENCH_serve.json");
+    let path = record
+        .write_merged(&ExperimentRecord::default_dir())
+        .expect("write BENCH_serve.json");
     println!("trajectory record: {}", path.display());
 }

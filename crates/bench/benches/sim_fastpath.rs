@@ -246,7 +246,9 @@ fn main() {
         println!("sweep/lfc_w1a1 skipped: single-core host, no cross-slab parallelism to measure");
     }
 
-    let path = record.write().expect("write BENCH_sim.json");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write BENCH_sim.json");
     println!("trajectory record: {}", path.display());
 
     // Criterion views of the same workloads, for the bench console.

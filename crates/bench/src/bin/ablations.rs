@@ -153,6 +153,8 @@ fn main() {
          the quantitative reason the paper's instance stops at 4 bits."
     );
 
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

@@ -98,6 +98,8 @@ fn main() {
         "\nEvery model runs on the same instance (no hardware regeneration); the\n\
          accelerator agrees with the bit-exact reference on every sampled image."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

@@ -63,6 +63,8 @@ fn main() {
          (>75% for the large ones), which is why the paper's future work targets\n\
          the data loading path (double buffering, dense packing — see `ablations`)."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

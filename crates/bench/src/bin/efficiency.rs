@@ -88,6 +88,8 @@ fn main() {
         "\nThe shared stream link caps the cluster: once stream-bound, extra boards\n\
          burn watts without adding throughput (inf/J degrades)."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

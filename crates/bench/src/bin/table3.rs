@@ -30,6 +30,8 @@ fn main() {
     println!(
         "Max input length / neuron count per layer at 8-bit precision: 8192 (paper §III.B.2)."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

@@ -62,6 +62,8 @@ fn main() {
          per TNPU; capping at 4 bits drops that to ~4-5% — the paper's reason for the\n\
          4-bit limit in the evaluated instance."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

@@ -123,6 +123,8 @@ fn main() {
         "\nShape checks: Sign (1-bit) models run ~4-8x faster than 2-bit models (8-channel\n\
          binary weight packing); BN folding saves ~1-3%; latency scales with weight count."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

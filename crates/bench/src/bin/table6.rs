@@ -141,6 +141,8 @@ fn main() {
          FINN-fix is comparable in resources but single-model; NetPU-M draws the least\n\
          wall power of all instances."
     );
-    let path = record.write().expect("write experiment record");
+    let path = record
+        .write(&ExperimentRecord::default_dir())
+        .expect("write experiment record");
     println!("\nrecord: {}", path.display());
 }

@@ -6,7 +6,7 @@
 
 use serde::Serialize;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// One experiment's machine-readable output.
 #[derive(Clone, Debug, Serialize)]
@@ -53,25 +53,24 @@ impl ExperimentRecord {
         PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments")
     }
 
-    /// Writes the record as pretty JSON, returning the path.
-    pub fn write(&self) -> std::io::Result<PathBuf> {
-        let dir = ExperimentRecord::default_dir();
-        fs::create_dir_all(&dir)?;
+    /// Writes the record as pretty JSON to `<dir>/<id>.json`, returning
+    /// the path. Binaries pass [`default_dir`](ExperimentRecord::default_dir).
+    pub fn write(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         fs::write(&path, serde_json::to_string_pretty(self)?)?;
         Ok(path)
     }
 
-    /// Writes the record, merging with any existing record of the same
-    /// id already on disk. Rows are keyed by their `"name"` field: rows
-    /// in `self` replace same-named rows, every other existing row
-    /// survives (unnamed rows are kept). This lets several benches feed
-    /// one trajectory file — e.g. `serve_scaling` and `fleet_replay`
-    /// both own rows of `BENCH_serve.json` — without clobbering each
-    /// other's results.
-    pub fn write_merged(&self) -> std::io::Result<PathBuf> {
-        let dir = ExperimentRecord::default_dir();
-        fs::create_dir_all(&dir)?;
+    /// Writes the record to `<dir>/<id>.json`, merging with any existing
+    /// record of the same id already there. Rows are keyed by their
+    /// `"name"` field: rows in `self` replace same-named rows, every
+    /// other existing row survives (unnamed rows are kept). This lets
+    /// several benches feed one trajectory file — e.g. `serve_scaling`
+    /// and `fleet_replay` both own rows of `BENCH_serve.json` — without
+    /// clobbering each other's results.
+    pub fn write_merged(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{}.json", self.id));
         let new_names: Vec<&str> = self
             .rows
@@ -111,31 +110,30 @@ mod tests {
 
     #[test]
     fn record_roundtrips_through_disk() {
-        let dir = std::env::temp_dir().join("netpu-record-test");
-        std::env::set_var("NETPU_EXPERIMENT_DIR", &dir);
+        let dir = std::env::temp_dir().join(format!("netpu-record-test-{}", std::process::id()));
         let mut r = ExperimentRecord::new("test_rec", "A test");
         r.push(serde_json::json!({"k": 1}));
-        let path = r.write().unwrap();
+        let path = r.write(&dir).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         assert_eq!(v["id"], "test_rec");
         assert_eq!(v["rows"][0]["k"], 1);
-        std::env::remove_var("NETPU_EXPERIMENT_DIR");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn merged_writes_replace_by_name_and_keep_the_rest() {
-        let dir = std::env::temp_dir().join("netpu-record-merge-test");
+        let dir =
+            std::env::temp_dir().join(format!("netpu-record-merge-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::env::set_var("NETPU_EXPERIMENT_DIR", &dir);
         let mut first = ExperimentRecord::new("test_merge", "first");
         first.push(serde_json::json!({"name": "a", "v": 1}));
         first.push(serde_json::json!({"name": "b", "v": 2}));
-        first.write_merged().unwrap();
+        first.write_merged(&dir).unwrap();
         let mut second = ExperimentRecord::new("test_merge", "second");
         second.push(serde_json::json!({"name": "b", "v": 20}));
         second.push(serde_json::json!({"name": "c", "v": 3}));
-        let path = second.write_merged().unwrap();
+        let path = second.write_merged(&dir).unwrap();
         let text = std::fs::read_to_string(path).unwrap();
         let v: serde_json::Value = serde_json::from_str(&text).unwrap();
         let rows = v.get("rows").and_then(serde_json::Value::as_array).unwrap();
@@ -145,6 +143,6 @@ mod tests {
         assert_eq!(rows[1]["name"], "b");
         assert_eq!(rows[1]["v"], 20);
         assert_eq!(rows[2]["name"], "c");
-        std::env::remove_var("NETPU_EXPERIMENT_DIR");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

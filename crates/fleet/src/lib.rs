@@ -25,7 +25,7 @@ pub mod sched;
 pub mod shard;
 pub mod tenant;
 
-pub use cache::{Admit, AdmittedModel, CacheStats, CompiledModelCache, LruCore};
+pub use cache::{AdmittedModel, CacheStats, CompiledModelCache};
 pub use metrics::{FleetMetrics, ShardStats};
 pub use netpu_serve::{AdmissionVerdict, RejectReason, TraceSink};
 pub use replay::{run_replay, ReplayConfig, ReplayReport, TenantRow};

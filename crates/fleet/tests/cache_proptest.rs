@@ -1,13 +1,14 @@
-//! Property suite for the compiled-model cache's LRU core: under any
-//! sequence of admit / lookup / remove operations, resident bytes
-//! never exceed the budget, and a lookup only ever returns a value
-//! that was admitted and has not been evicted since — never a stale or
-//! foreign entry.
+//! Property suite for the workspace LRU (`netpu_runtime::LruCore`, the
+//! core of the compiled-model cache and of the driver's admission
+//! cache): under any sequence of admit / lookup / remove operations,
+//! resident bytes never exceed the budget, and a lookup only ever
+//! returns a value that was admitted and has not been evicted since —
+//! never a stale or foreign entry.
 
-use netpu_fleet::{Admit, CompiledModelCache, LruCore};
+use netpu_fleet::CompiledModelCache;
 use netpu_nn::export::BnMode;
 use netpu_nn::zoo::ZooModel;
-use netpu_runtime::Driver;
+use netpu_runtime::{Admit, Driver, LruCore};
 use proptest::prelude::*;
 use std::collections::HashMap;
 

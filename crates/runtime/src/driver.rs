@@ -14,9 +14,10 @@
 //! thin wrappers over it. `InferRequest` is also the unit of work the
 //! `netpu-serve` multi-board scheduler enqueues.
 
+use crate::admission::{AdmissionCache, AdmissionCacheStats};
 use crate::dma::DmaModel;
 use crate::power::PowerParams;
-use netpu_check::{AdmissionVerdict, RejectReason};
+use netpu_check::{AdmissionVerdict, RejectReason, Report};
 use netpu_compiler::{compile, Loadable, StreamError};
 use netpu_core::netpu::{
     run_inference_fast, run_inference_hooked, run_inference_observed, InferenceRun, NetPuError,
@@ -460,11 +461,17 @@ impl DriverBuilder {
             strict_equiv: self.strict_equiv,
             probe_datapath: self.probe_datapath.unwrap_or(self.trace_sink.is_some()),
             trace_sink: self.trace_sink,
+            admission: Arc::new(AdmissionCache::new()),
         }
     }
 }
 
 /// Host driver bundling the accelerator, DMA, and power models.
+///
+/// Every clone of a driver shares one admission cache (DESIGN.md
+/// §4.10), so a stream admitted through any clone — a serving layer's
+/// worker included — is not re-checked when it repeats with a new
+/// input.
 ///
 /// ```
 /// use netpu_runtime::Driver;
@@ -497,6 +504,7 @@ pub struct Driver {
     /// Forward datapath probe samples to the sink as well (defaults to
     /// `true` exactly when a sink is attached).
     pub probe_datapath: bool,
+    admission: Arc<AdmissionCache>,
 }
 
 impl Default for Driver {
@@ -557,6 +565,23 @@ impl Driver {
             InferPayload::Batch { model, inputs } => self.run_batch(&model, &inputs, trace),
             InferPayload::Burst { model, inputs } => self.run_burst(&model, &inputs, trace),
         }
+    }
+
+    /// The structural and range admission report of a raw stream on
+    /// this driver's instance: exactly [`netpu_check::check_words`]`(words,
+    /// &self.hw)`, served from the driver's admission cache when the
+    /// stream repeats an admitted one outside its in-range input pixels
+    /// (DESIGN.md §4.10). The `netpu-serve` pre-flight admits through
+    /// this, so a submitted loadable is checked once, not again by the
+    /// worker.
+    pub fn admission_report(&self, words: &[u64]) -> Report {
+        self.admission.check(words, &self.hw)
+    }
+
+    /// Hit/miss counters and footprint of the admission cache this
+    /// driver shares with its clones.
+    pub fn admission_cache_stats(&self) -> AdmissionCacheStats {
+        self.admission.stats()
     }
 
     /// Compiles and runs one inference.
@@ -654,13 +679,15 @@ impl Driver {
         // rejected streams never cost simulation or DMA time. The gate
         // itself is the shared `AdmissionVerdict` policy, so this
         // decision is identical to the serving layers' and the
-        // fuzzer's.
+        // fuzzer's. The two-tier check goes through the admission cache
+        // (its report equals `check_words`'); symex depends on the
+        // source model too and is never cached.
         let (report, strict_equiv) = match source {
             Some(model) if self.strict_equiv => (
                 netpu_check::check_words_against(&loadable.words, model, &self.hw),
                 true,
             ),
-            _ => (netpu_check::check(loadable, &self.hw), false),
+            _ => (self.admission_report(&loadable.words), false),
         };
         if let AdmissionVerdict::Rejected(reason) =
             AdmissionVerdict::from_report_tiers(report, self.strict_range, strict_equiv)

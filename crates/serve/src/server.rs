@@ -68,9 +68,11 @@ pub struct ServerConfig {
     /// translation validator proves computes a *different function*
     /// than the claimed source model (error-class NPC021/NPC022/NPC024
     /// findings, DESIGN.md §4.8). Also propagated to the workers'
-    /// driver, so `Single`/`Batch` payloads — which carry their source
-    /// model by construction — get the same third tier on their
-    /// compiled streams. Lenient servers still count certified
+    /// driver, where it applies to `Batch` payloads: the driver
+    /// validates their compiled stream against the model they carry.
+    /// `Single` payloads get the structural and range tiers only,
+    /// because workers compile them to `Loadable` payloads, which carry
+    /// no source claim. Lenient servers still count certified
     /// submissions with equivalence findings in
     /// [`MetricsSnapshot::equiv_flagged`] but admit them. Off by
     /// default: the third tier costs a symbolic execution per
@@ -253,9 +255,11 @@ impl Server {
         );
         // Cheap static pre-flight before a queue slot is taken: a
         // stream the accelerator would reject never reaches a worker.
+        // It admits through the workers' driver, so the admission cache
+        // answers the worker's own check of this stream.
         let mut range_flagged = false;
         if let InferPayload::Loadable(loadable) = &req.payload {
-            let report = netpu_check::check(loadable, &self.shared.driver.hw);
+            let report = self.shared.driver.admission_report(&loadable.words);
             if report.has_range_errors() {
                 self.shared
                     .counters
@@ -744,6 +748,22 @@ mod tests {
         assert_eq!(m.frames_completed, 1);
         assert_eq!((m.worker_panics, m.crash_requeued), (0, 0));
         assert!(m.measured_fps().is_some());
+    }
+
+    #[test]
+    fn a_submitted_loadable_is_checked_once() {
+        // The submit pre-flight and the worker's driver share one
+        // admission cache: the pre-flight misses, the worker hits.
+        let driver = Driver::builder().build();
+        let server = Server::start(driver.clone(), ServerConfig::default());
+        let loadable = compile(&tfc(), &vec![5u8; 784]).unwrap();
+        let ticket = server
+            .submit(InferRequest::loadable(loadable))
+            .expect_accepted();
+        ticket.wait().unwrap();
+        server.shutdown();
+        let stats = driver.admission_cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
     }
 
     #[test]

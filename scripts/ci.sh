@@ -52,6 +52,13 @@ echo "== design-space exploration smoke (frontier artifact reproducibility, rele
 # longer reproduced/dominated.
 cargo run -q --release -p xtask -- dse --smoke
 
+echo "== benchmark self-checks (release) =="
+# Smoke runs of every perfbench workload in both trace modes plus a
+# held-out seed: the schema must match BENCHMARK.json and every request
+# must succeed. perfbench is a workspace of its own, so the workspace
+# test stage above does not reach it.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== serving layer (release) =="
 cargo test -q --release -p netpu-serve
 
